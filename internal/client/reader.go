@@ -43,10 +43,12 @@ type Reader struct {
 	closed bool
 
 	// exclude lists replica locations of block excludeIdx that failed
-	// mid-stream or at open, so failover never re-picks them. It resets
+	// mid-stream or at open, so failover never re-picks them, and
+	// streamErr is the last mid-stream failure among them. Both reset
 	// when the reader moves to another block.
 	exclude    map[core.StorageID]bool
 	excludeIdx int
+	streamErr  error
 
 	window []*prefetchedStream // pending prefetches, ascending block index
 
@@ -141,6 +143,7 @@ func (r *Reader) Read(p []byte) (int, error) {
 			r.cur = nil
 			r.endBlockSpan(err)
 			r.markBad(r.curLoc)
+			r.streamErr = err
 			if n > 0 {
 				return n, nil
 			}
@@ -170,6 +173,7 @@ func (r *Reader) openAt(offset int64) error {
 	if idx != r.excludeIdx {
 		r.excludeIdx = idx
 		r.exclude = nil
+		r.streamErr = nil
 	}
 	if r.readahead > 0 {
 		r.pruneWindow(idx)
@@ -269,6 +273,11 @@ func (r *Reader) openAt(offset int64) error {
 		}
 		r.adopt(blk, rc, loc)
 		return nil
+	}
+	if lastErr == nil && r.streamErr != nil {
+		// Every replica left was dropped mid-stream: report why (a
+		// checksum failure surfaces as core.ErrCorrupt).
+		lastErr = r.streamErr
 	}
 	if lastErr == nil {
 		lastErr = fmt.Errorf("client: block %s has no live replicas: %w", blk.Block.ID, core.ErrNoWorkers)

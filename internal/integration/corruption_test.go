@@ -114,3 +114,118 @@ func TestCorruptionErrorCodeCrossesWire(t *testing.T) {
 		t.Errorf("read of corrupt single-replica file: err = %v, want ErrCorrupt", err)
 	}
 }
+
+// flipMemoryByte corrupts byte off of a memory replica in place,
+// through the media's zero-copy chunk view (which aliases the stored
+// bytes): the memory-tier analogue of bit rot.
+func flipMemoryByte(t *testing.T, c *Cluster, loc core.BlockLocation, blk core.Block, off int64) {
+	t.Helper()
+	for _, w := range c.Workers {
+		if w.ID() != loc.Worker {
+			continue
+		}
+		cr, err := w.Media()[loc.Storage].OpenChunks(blk, off, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cr.Close()
+		p, _, err := cr.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p[0] ^= 0xFF
+		return
+	}
+	t.Fatalf("no worker %s", loc.Worker)
+}
+
+// replicaVerifies reports whether the replica at loc passes a local
+// scrub against its stored chunk sums.
+func replicaVerifies(c *Cluster, loc core.BlockLocation, blk core.Block) bool {
+	for _, w := range c.Workers {
+		if w.ID() == loc.Worker {
+			m, ok := w.Media()[loc.Storage]
+			return ok && m.Verify(blk) == nil
+		}
+	}
+	return false
+}
+
+func TestCorruptMemoryReplicaDetectedAndRepaired(t *testing.T) {
+	c, err := StartCluster(DefaultClusterConfig(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	fs, _ := c.Client("")
+	defer fs.Close()
+
+	payload := randomBytes(2<<20, 71)
+	if err := fs.WriteFile("/hot", payload, core.NewReplicationVector(2, 0, 0, 0, 0)); err != nil {
+		t.Fatal(err)
+	}
+	blocks, err := fs.GetFileBlockLocations("/hot", 0, -1)
+	if err != nil || len(blocks) == 0 || len(blocks[0].Locations) != 2 {
+		t.Fatalf("locations: %v, %+v", err, blocks)
+	}
+	blk := blocks[0].Block
+	victim := blocks[0].Locations[0]
+	flipMemoryByte(t, c, victim, blk, 5*64<<10+17)
+
+	// The stored sum of the flipped chunk travels with it; the client
+	// rejects that packet and resumes from the other replica. Reading
+	// on the victim's node makes the local, corrupt replica the first
+	// choice.
+	local, err := c.Client(string(victim.Worker))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer local.Close()
+	got, err := local.ReadFile("/hot")
+	if err != nil {
+		t.Fatalf("read with a corrupt memory replica: %v", err)
+	}
+	if !bytes.Equal(got, payload) {
+		t.Fatal("failover read returned wrong content")
+	}
+	page, _, err := fs.Events(0, "block_corrupt", 0)
+	if err != nil || len(page.Events) == 0 {
+		t.Errorf("master journaled no block_corrupt event (err %v)", err)
+	}
+
+	// The master drops the corrupt replica and re-replicates: two
+	// memory replicas again, both clean.
+	waitFor(t, 15*time.Second, "corrupt memory replica to be replaced", func() bool {
+		blocks, err := fs.GetFileBlockLocations("/hot", 0, -1)
+		if err != nil || len(blocks[0].Locations) < 2 {
+			return false
+		}
+		for _, loc := range blocks[0].Locations {
+			if loc.Tier != core.TierMemory || !replicaVerifies(c, loc, blk) {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+func TestCorruptSingleMemoryReplicaSurfacesErrCorrupt(t *testing.T) {
+	c, err := StartCluster(DefaultClusterConfig(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	fs, _ := c.Client("")
+	defer fs.Close()
+
+	payload := randomBytes(1<<20, 73)
+	if err := fs.WriteFile("/single-mem", payload, core.NewReplicationVector(1, 0, 0, 0, 0)); err != nil {
+		t.Fatal(err)
+	}
+	blocks, _ := fs.GetFileBlockLocations("/single-mem", 0, -1)
+	flipMemoryByte(t, c, blocks[0].Locations[0], blocks[0].Block, 3)
+
+	if _, err := fs.ReadFile("/single-mem"); !errors.Is(err, core.ErrCorrupt) {
+		t.Errorf("read of corrupt single-replica memory file: err = %v, want ErrCorrupt", err)
+	}
+}

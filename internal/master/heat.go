@@ -115,13 +115,19 @@ func (hp *heatPlane) rename(src, dst string) {
 }
 
 // foldHeat merges one heartbeat's worth of worker deltas into the
-// cluster block heat map.
+// cluster block heat map. Deltas for blocks the block map no longer
+// knows are dropped: a heartbeat can carry heat gathered before the
+// block's file was deleted, and folding it would re-track the block
+// after forgetBlocks dropped it.
 func (m *Master) foldHeat(deltas []heat.Delta) {
 	if len(deltas) == 0 {
 		return
 	}
 	nowNs := time.Now().UnixNano()
 	for _, d := range deltas {
+		if _, ok := m.blocks.Info(d.Block); !ok {
+			continue
+		}
 		if d.ReadOps > 0 || d.ReadBytes > 0 {
 			m.heat.blocks.Add(d.Block, heat.Read, int64(d.ReadOps), d.ReadBytes, nowNs)
 		}

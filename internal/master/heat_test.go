@@ -270,3 +270,40 @@ func TestHTTPDebugHeatEndpoint(t *testing.T) {
 		t.Errorf("GET ?misplaced=bogus = %d, want 400", code)
 	}
 }
+
+// TestHeatDropsDeltasForDeletedBlocks checks that heat a worker
+// gathered before a delete, and reports in a later heartbeat, does not
+// bring the deleted blocks back into the block heat map.
+func TestHeatDropsDeltasForDeletedBlocks(t *testing.T) {
+	m := testMaster(t)
+	registerFakeWorker(t, m, "w1", "/r1",
+		mediaStat("w1:hdd0", core.TierHDD, 4<<30, 120, 170))
+	svc := &Service{m: m}
+	live := heatTestBlock(t, m, "/live", "w1", "w1:hdd0")
+	var deleted []core.BlockID
+	for _, p := range []string{"/gone1", "/gone2", "/gone3"} {
+		deleted = append(deleted, heatTestBlock(t, m, p, "w1", "w1:hdd0"))
+		if err := svc.Delete(&rpc.DeleteArgs{Path: p}, &rpc.DeleteReply{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deltas := []heat.Delta{{Block: live, ReadOps: 5, ReadBytes: 5 << 20}}
+	for _, id := range deleted {
+		deltas = append(deltas, heat.Delta{Block: id, ReadOps: 3, ReadBytes: 3 << 20, WriteOps: 1, WriteBytes: 1 << 20})
+	}
+	if err := svc.Heartbeat(&rpc.HeartbeatArgs{ID: "w1", Heat: deltas}, &rpc.HeartbeatReply{}); err != nil {
+		t.Fatal(err)
+	}
+
+	report := m.heatReport(100, "", false)
+	if got := report.Aggregate.TrackedBlocks; got != 1 {
+		t.Errorf("TrackedBlocks = %d, want 1 (the live block)", got)
+	}
+	for _, b := range report.Blocks {
+		for _, id := range deleted {
+			if b.Block == id {
+				t.Errorf("deleted block %d is tracked again: %+v", id, b)
+			}
+		}
+	}
+}

@@ -357,13 +357,8 @@ func (pw *PacketWriter) Write(p []byte) (int, error) {
 		if len(chunk) > MaxPacketSize {
 			chunk = chunk[:MaxPacketSize]
 		}
-		binary.BigEndian.PutUint32(pw.buf[0:4], uint32(len(chunk)))
-		binary.BigEndian.PutUint32(pw.buf[4:8], crc32.Checksum(chunk, castagnoli))
-		if _, err := pw.w.Write(pw.buf[:]); err != nil {
-			return total, fmt.Errorf("rpc: writing packet header: %w", err)
-		}
-		if _, err := pw.w.Write(chunk); err != nil {
-			return total, fmt.Errorf("rpc: writing packet payload: %w", err)
+		if err := pw.WritePacket(chunk, crc32.Checksum(chunk, castagnoli)); err != nil {
+			return total, err
 		}
 		total += len(chunk)
 		p = p[len(chunk):]
@@ -371,38 +366,23 @@ func (pw *PacketWriter) Write(p []byte) (int, error) {
 	return total, nil
 }
 
-// ReadFrom implements io.ReaderFrom: it pumps r into full-size packets
-// through one pooled buffer, so io.Copy onto a PacketWriter stages the
-// content exactly once instead of allocating its own copy buffer.
-func (pw *PacketWriter) ReadFrom(r io.Reader) (int64, error) {
-	buf, fresh := bufpool.Get(MaxPacketSize)
-	if fresh {
-		pw.alloc += MaxPacketSize
+// WritePacket emits p as one packet under a CRC-32C the caller already
+// holds, such as a chunk sum stored beside a replica; the reader
+// verifies it like any other. p must be non-empty and at most
+// MaxPacketSize bytes.
+func (pw *PacketWriter) WritePacket(p []byte, sum uint32) error {
+	if len(p) == 0 || len(p) > MaxPacketSize {
+		return fmt.Errorf("rpc: packet of %d bytes outside (0, %d]", len(p), MaxPacketSize)
 	}
-	defer bufpool.Put(buf)
-	var total int64
-	for {
-		// Fill the packet so slow readers still yield full-size packets.
-		n := 0
-		var rerr error
-		for n < len(buf) && rerr == nil {
-			var m int
-			m, rerr = r.Read(buf[n:])
-			n += m
-		}
-		if n > 0 {
-			if _, werr := pw.Write(buf[:n]); werr != nil {
-				return total, werr
-			}
-			total += int64(n)
-		}
-		if rerr == io.EOF {
-			return total, nil
-		}
-		if rerr != nil {
-			return total, rerr
-		}
+	binary.BigEndian.PutUint32(pw.buf[0:4], uint32(len(p)))
+	binary.BigEndian.PutUint32(pw.buf[4:8], sum)
+	if _, err := pw.w.Write(pw.buf[:]); err != nil {
+		return fmt.Errorf("rpc: writing packet header: %w", err)
 	}
+	if _, err := pw.w.Write(p); err != nil {
+		return fmt.Errorf("rpc: writing packet payload: %w", err)
+	}
+	return nil
 }
 
 // Close terminates the stream with an empty packet and flushes.

@@ -3,6 +3,7 @@ package rpc
 import (
 	"bytes"
 	"errors"
+	"hash/crc32"
 	"io"
 	"testing"
 	"testing/quick"
@@ -275,5 +276,34 @@ func TestQuickPacketRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestWritePacketCarriesGivenSum(t *testing.T) {
+	chunk := bytes.Repeat([]byte("stored"), 1000)
+	sum := crc32.Checksum(chunk, crc32.MakeTable(crc32.Castagnoli))
+
+	var buf bytes.Buffer
+	pw := NewPacketWriter(&buf)
+	if err := pw.WritePacket(chunk, sum); err != nil {
+		t.Fatal(err)
+	}
+	if err := pw.WritePacket(chunk[:10], sum); err != nil { // wrong sum for these bytes
+		t.Fatal(err)
+	}
+	pw.Close()
+	pr := NewPacketReader(&buf)
+	got := make([]byte, len(chunk))
+	if _, err := io.ReadFull(pr, got); err != nil || !bytes.Equal(got, chunk) {
+		t.Fatalf("packet under its true sum: err = %v", err)
+	}
+	if _, err := pr.Read(got); !errors.Is(err, core.ErrCorrupt) {
+		t.Errorf("packet under a wrong sum: err = %v, want ErrCorrupt", err)
+	}
+
+	for _, p := range [][]byte{nil, make([]byte, MaxPacketSize+1)} {
+		if err := NewPacketWriter(io.Discard).WritePacket(p, 0); err == nil {
+			t.Errorf("WritePacket accepted a %d-byte packet", len(p))
+		}
 	}
 }

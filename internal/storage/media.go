@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 	"sync/atomic"
@@ -145,7 +146,7 @@ func (m *Media) setThroughput(w, r float64) {
 // stream's own critical path — unlike the limiter's cross-stream
 // Stats total, these are exact per stream. ThrottleWaitNs is time
 // the emulated pacing slept this stream. DeviceNs is store device
-// time: read time under a throttled Open, or the Put residual after
+// time: chunk read time under OpenChunks, or the Put residual after
 // source-wait and throttle are subtracted. SourceNs (Put only) is
 // time the store spent waiting on the supplied reader — the network
 // or pipe feeding the write.
@@ -236,53 +237,101 @@ func (m *Media) PutStats(b core.Block, r io.Reader, st *IOStats) (int64, error) 
 // Open returns a throttled reader over a stored replica. The media's
 // connection count stays elevated until the reader is closed.
 func (m *Media) Open(b core.Block) (io.ReadCloser, error) {
-	return m.OpenStats(b, nil)
-}
-
-// OpenStats is Open recording the stream's device read time and
-// throttle sleep into st (which may be nil) as the replica is
-// consumed.
-func (m *Media) OpenStats(b core.Block, st *IOStats) (io.ReadCloser, error) {
-	return m.OpenRangeStats(b, 0, st)
-}
-
-// OpenRangeStats is OpenStats starting at offset bytes into the
-// replica. When the store's reader can seek (disk files, memory
-// readers), the skipped prefix is never read — and thus neither
-// throttled nor charged as device time; otherwise it is discarded on
-// the raw store reader before the throttle wrapper is applied.
-func (m *Media) OpenRangeStats(b core.Block, offset int64, st *IOStats) (io.ReadCloser, error) {
-	if st == nil {
-		st = &IOStats{}
-	}
 	rc, err := m.store.Open(b)
 	if err != nil {
 		return nil, err
 	}
-	if offset > 0 {
-		if sk, ok := rc.(io.Seeker); ok {
-			_, err = sk.Seek(offset, io.SeekStart)
-		} else {
-			_, err = io.CopyN(io.Discard, rc, offset)
-		}
-		if err != nil {
-			rc.Close()
-			return nil, fmt.Errorf("storage: block %s: seeking to %d: %w", b.ID, offset, err)
-		}
-	}
 	m.conns.Add(1)
-	r := LimitReaderStats(&timedReader{r: rc, ns: &st.DeviceNs}, m.readLimit, &st.ThrottleWaitNs)
-	return &connTrackingReadCloser{
-		ReadCloser: readerWithCloser{r, rc},
-		conns:      &m.conns,
-	}, nil
+	return &connTrackingReadCloser{ReadCloser: LimitReadCloser(rc, m.readLimit), conns: &m.conns}, nil
 }
 
-// readerWithCloser pairs a wrapped read path with the store reader's
-// Close.
-type readerWithCloser struct {
-	io.Reader
-	io.Closer
+// ChunkReader serves a byte range of a stored replica as checksummed
+// pieces, one per transfer packet. Reads go through the media's read
+// throttle, and the media counts the reader as an active connection
+// until Close.
+type ChunkReader struct {
+	block    core.BlockID
+	rep      Replica
+	pos, end int64
+	limit    *RateLimiter
+	st       *IOStats
+	conns    *atomic.Int64
+	closed   bool
+}
+
+// OpenChunks opens bytes [offset, offset+length) of a stored replica
+// for serving, recording the stream's device read time and throttle
+// sleep into st (which may be nil).
+func (m *Media) OpenChunks(b core.Block, offset, length int64, st *IOStats) (*ChunkReader, error) {
+	if st == nil {
+		st = &IOStats{}
+	}
+	rep, err := m.store.OpenReplica(b)
+	if err != nil {
+		return nil, err
+	}
+	if offset < 0 || length < 0 || offset+length > rep.Size() {
+		rep.Close()
+		return nil, fmt.Errorf("storage: block %s: range [%d, %d) outside the %d-byte replica",
+			b.ID, offset, offset+length, rep.Size())
+	}
+	m.conns.Add(1)
+	return &ChunkReader{block: b.ID, rep: rep, pos: offset, end: offset + length, limit: m.readLimit, st: st, conns: &m.conns}, nil
+}
+
+// Next returns the next piece of the range and its CRC-32C, or io.EOF
+// once the range is served. A piece is normally one whole chunk
+// carrying the sum stored with it, so serving it costs no checksum
+// work. Where the range starts or stops inside a chunk, the whole
+// chunk is read and checked against its stored sum first (a mismatch
+// is core.ErrCorrupt), and the piece gets a fresh sum. A replica
+// stored without sums gets fresh sums throughout. The piece is valid
+// until the next call.
+func (cr *ChunkReader) Next() ([]byte, uint32, error) {
+	if cr.pos >= cr.end {
+		return nil, 0, io.EOF
+	}
+	idx := cr.pos / ChunkSize
+	first := idx * ChunkSize
+	last := min(first+ChunkSize, cr.rep.Size())
+	start := time.Now()
+	chunk, err := cr.rep.ReadChunk(first, int(last-first))
+	cr.st.DeviceNs += time.Since(start).Nanoseconds()
+	if err != nil {
+		return nil, 0, fmt.Errorf("storage: block %s: reading chunk %d: %w", cr.block, idx, err)
+	}
+	if slept := cr.limit.Wait(len(chunk)); slept > 0 {
+		cr.st.ThrottleWaitNs += slept.Nanoseconds()
+	}
+	piece := chunk[cr.pos-first : min(last, cr.end)-first]
+	sums := cr.rep.Sums()
+	var sum uint32
+	switch {
+	case sums == nil:
+		sum = crc32.Checksum(piece, crcTable)
+	case len(piece) == len(chunk):
+		sum = sums[idx]
+	case crc32.Checksum(chunk, crcTable) != sums[idx]:
+		return nil, 0, fmt.Errorf("storage: block %s: chunk %d fails its checksum: %w", cr.block, idx, core.ErrCorrupt)
+	default:
+		sum = crc32.Checksum(piece, crcTable)
+	}
+	cr.pos += int64(len(piece))
+	return piece, sum, nil
+}
+
+// AllocBytes reports the buffer bytes the reader freshly allocated.
+func (cr *ChunkReader) AllocBytes() int64 { return cr.rep.AllocBytes() }
+
+// Close releases the replica and the media connection. Double Close
+// is a no-op.
+func (cr *ChunkReader) Close() error {
+	if cr.closed {
+		return nil
+	}
+	cr.closed = true
+	cr.conns.Add(-1)
+	return cr.rep.Close()
 }
 
 // WriteLimit returns the media's write-side throttle (nil when
@@ -293,11 +342,29 @@ func (m *Media) WriteLimit() *RateLimiter { return m.writeLimit }
 // unthrottled).
 func (m *Media) ReadLimit() *RateLimiter { return m.readLimit }
 
-// Verify recomputes a stored replica's checksum against the one
-// recorded at write time, returning core.ErrCorrupt on mismatch.
-// Verification bypasses the throughput throttle and connection
-// accounting: it models a local scrub, not a served read.
-func (m *Media) Verify(b core.Block) error { return m.store.Verify(b) }
+// Verify recomputes a stored replica's chunk sums against the ones
+// recorded at write time, returning core.ErrCorrupt on mismatch. A
+// replica stored without sums verifies trivially. Verification
+// bypasses the throughput throttle and connection accounting: it
+// models a local scrub, not a served read.
+func (m *Media) Verify(b core.Block) error {
+	rep, err := m.store.OpenReplica(b)
+	if err != nil {
+		return err
+	}
+	defer rep.Close()
+	for i, want := range rep.Sums() {
+		off := int64(i) * ChunkSize
+		chunk, err := rep.ReadChunk(off, int(min(ChunkSize, rep.Size()-off)))
+		if err != nil {
+			return fmt.Errorf("storage: block %s: reading chunk %d: %w", b.ID, i, err)
+		}
+		if crc32.Checksum(chunk, crcTable) != want {
+			return fmt.Errorf("storage: block %s: chunk %d fails its checksum: %w", b.ID, i, core.ErrCorrupt)
+		}
+	}
+	return nil
+}
 
 // Delete removes a stored replica.
 func (m *Media) Delete(b core.Block) error { return m.store.Delete(b) }

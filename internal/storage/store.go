@@ -13,6 +13,7 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -22,6 +23,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/bufpool"
 	"repro/internal/core"
 )
 
@@ -50,10 +52,11 @@ type Store interface {
 	// Used returns the number of bytes currently stored.
 	Used() int64
 
-	// Verify recomputes the replica's checksum and compares it with
-	// the one recorded at Put time, returning core.ErrCorrupt on
-	// mismatch (the moral equivalent of HDFS's .meta files).
-	Verify(b core.Block) error
+	// OpenReplica opens the replica for chunk-wise reading, together
+	// with the chunk sums recorded at Put time (the moral equivalent
+	// of HDFS's .meta files). It returns core.ErrNotFound if the
+	// replica is absent.
+	OpenReplica(b core.Block) (Replica, error)
 
 	// Close releases the store's resources. Memory stores drop their
 	// content (the tier is volatile); disk stores keep files on disk.
@@ -70,22 +73,111 @@ type blockKey struct {
 // checksums, matching the transfer protocol's.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
+// ChunkSize is the span of replica content each stored checksum
+// covers. It equals the transfer protocol's packet size, so the sum
+// stored with a chunk doubles as the checksum of the packet that
+// carries it.
+const ChunkSize = 64 << 10
+
+// Replica is a stored replica opened for chunk-wise reading.
+type Replica interface {
+	// Size returns the replica's length in bytes.
+	Size() int64
+
+	// Sums returns the CRC-32C of each ChunkSize span of the replica
+	// (the last may be shorter), recorded at Put time. It is nil for
+	// a replica stored without sums.
+	Sums() []uint32
+
+	// ReadChunk returns the n bytes at off. The slice may alias the
+	// store's own memory: it must not be modified, and it is valid
+	// only until the next call.
+	ReadChunk(off int64, n int) ([]byte, error)
+
+	// AllocBytes reports the buffer bytes the replica freshly
+	// allocated for reading, for the transfer flight recorder.
+	AllocBytes() int64
+
+	Close() error
+}
+
+// numChunks returns how many chunk sums cover a replica of size bytes.
+func numChunks(size int64) int {
+	return int((size + ChunkSize - 1) / ChunkSize)
+}
+
+// chunkSummer is an io.Writer computing the CRC-32C of each ChunkSize
+// span of what passes through it.
+type chunkSummer struct {
+	sums []uint32
+	cur  uint32 // running sum of the open chunk
+	fill int    // bytes in the open chunk
+}
+
+func (c *chunkSummer) Write(p []byte) (int, error) {
+	n := len(p)
+	for len(p) > 0 {
+		take := min(len(p), ChunkSize-c.fill)
+		c.cur = crc32.Update(c.cur, crcTable, p[:take])
+		c.fill += take
+		p = p[take:]
+		if c.fill == ChunkSize {
+			c.sums = append(c.sums, c.cur)
+			c.cur, c.fill = 0, 0
+		}
+	}
+	return n, nil
+}
+
+// Sums closes the open chunk and returns every chunk's sum.
+func (c *chunkSummer) Sums() []uint32 {
+	if c.fill > 0 {
+		c.sums = append(c.sums, c.cur)
+		c.cur, c.fill = 0, 0
+	}
+	return c.sums
+}
+
+// chunkSums returns the per-chunk sums of an in-memory replica.
+func chunkSums(data []byte) []uint32 {
+	c := chunkSummer{sums: make([]uint32, 0, numChunks(int64(len(data))))}
+	c.Write(data)
+	return c.Sums()
+}
+
 // MemStore is a volatile in-memory block store backing the memory
 // tier.
 type MemStore struct {
 	mu     sync.RWMutex
-	blocks map[blockKey][]byte
-	crcs   map[blockKey]uint32
+	blocks map[blockKey]memReplica
 	used   int64
 	closed bool
 }
 
+// memReplica is one in-memory replica and its chunk sums. It is
+// immutable once stored, so it serves as its own open Replica.
+type memReplica struct {
+	data []byte
+	sums []uint32
+}
+
+func (r memReplica) Size() int64       { return int64(len(r.data)) }
+func (r memReplica) Sums() []uint32    { return r.sums }
+func (r memReplica) AllocBytes() int64 { return 0 }
+func (r memReplica) Close() error      { return nil }
+
+// ReadChunk implements Replica without copying: it returns a view of
+// the stored bytes.
+func (r memReplica) ReadChunk(off int64, n int) ([]byte, error) {
+	if off < 0 || off+int64(n) > int64(len(r.data)) {
+		return nil, io.ErrUnexpectedEOF
+	}
+	return r.data[off : off+int64(n) : off+int64(n)], nil
+}
+
 // NewMemStore returns an empty in-memory store.
 func NewMemStore() *MemStore {
-	return &MemStore{
-		blocks: make(map[blockKey][]byte),
-		crcs:   make(map[blockKey]uint32),
-	}
+	return &MemStore{blocks: make(map[blockKey]memReplica)}
 }
 
 // Put implements Store.
@@ -94,6 +186,7 @@ func (s *MemStore) Put(b core.Block, r io.Reader) (int64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("storage: reading block %s: %w", b.ID, err)
 	}
+	sums := chunkSums(data)
 	key := blockKey{b.ID, b.GenStamp}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -101,60 +194,46 @@ func (s *MemStore) Put(b core.Block, r io.Reader) (int64, error) {
 		return 0, core.ErrShutdown
 	}
 	if old, ok := s.blocks[key]; ok {
-		s.used -= int64(len(old))
+		s.used -= old.Size()
 	}
-	s.blocks[key] = data
-	s.crcs[key] = crc32.Checksum(data, crcTable)
+	s.blocks[key] = memReplica{data: data, sums: sums}
 	s.used += int64(len(data))
 	return int64(len(data)), nil
 }
 
-// Verify implements Store.
-func (s *MemStore) Verify(b core.Block) error {
+// OpenReplica implements Store.
+func (s *MemStore) OpenReplica(b core.Block) (Replica, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	key := blockKey{b.ID, b.GenStamp}
-	data, ok := s.blocks[key]
+	r, ok := s.blocks[blockKey{b.ID, b.GenStamp}]
 	if !ok {
-		return fmt.Errorf("storage: block %s: %w", b.ID, core.ErrNotFound)
+		return nil, fmt.Errorf("storage: block %s: %w", b.ID, core.ErrNotFound)
 	}
-	if crc32.Checksum(data, crcTable) != s.crcs[key] {
-		return fmt.Errorf("storage: block %s: %w", b.ID, core.ErrCorrupt)
-	}
-	return nil
+	return r, nil
 }
 
 // Open implements Store.
 func (s *MemStore) Open(b core.Block) (io.ReadCloser, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	data, ok := s.blocks[blockKey{b.ID, b.GenStamp}]
+	r, ok := s.blocks[blockKey{b.ID, b.GenStamp}]
 	if !ok {
 		return nil, fmt.Errorf("storage: block %s: %w", b.ID, core.ErrNotFound)
 	}
-	return memReader{bytes.NewReader(data)}, nil
+	return io.NopCloser(bytes.NewReader(r.data)), nil
 }
-
-// memReader is the memory store's block reader. Unlike io.NopCloser
-// it keeps the underlying *bytes.Reader's io.Seeker and io.WriterTo
-// visible, so range reads seek instead of discard-copying and whole
-// copies skip the staging buffer.
-type memReader struct{ *bytes.Reader }
-
-func (memReader) Close() error { return nil }
 
 // Delete implements Store.
 func (s *MemStore) Delete(b core.Block) error {
 	key := blockKey{b.ID, b.GenStamp}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	data, ok := s.blocks[key]
+	r, ok := s.blocks[key]
 	if !ok {
 		return fmt.Errorf("storage: block %s: %w", b.ID, core.ErrNotFound)
 	}
-	s.used -= int64(len(data))
+	s.used -= r.Size()
 	delete(s.blocks, key)
-	delete(s.crcs, key)
 	return nil
 }
 
@@ -171,8 +250,8 @@ func (s *MemStore) Blocks() []core.Block {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := make([]core.Block, 0, len(s.blocks))
-	for k, data := range s.blocks {
-		out = append(out, core.Block{ID: k.id, GenStamp: k.gen, NumBytes: int64(len(data))})
+	for k, r := range s.blocks {
+		out = append(out, core.Block{ID: k.id, GenStamp: k.gen, NumBytes: r.Size()})
 	}
 	sortBlocks(out)
 	return out
@@ -189,7 +268,7 @@ func (s *MemStore) Used() int64 {
 func (s *MemStore) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.blocks = make(map[blockKey][]byte)
+	s.blocks = make(map[blockKey]memReplica)
 	s.used = 0
 	s.closed = true
 	return nil
@@ -248,6 +327,49 @@ func (s *DiskStore) crcPath(b core.Block) string {
 	return s.path(b) + ".crc"
 }
 
+// The chunk-sum sidecar "blk_<id>_<gen>.crc" holds sumsMagic, the
+// chunk size as a little-endian uint32, then one little-endian uint32
+// CRC-32C per chunk. A sidecar in any other form (such as the hex
+// whole-replica CRC older versions wrote) is ignored, and the replica
+// is treated as stored without sums.
+const sumsMagic = "OCS1"
+
+func encodeSums(sums []uint32) []byte {
+	out := make([]byte, 0, 8+4*len(sums))
+	out = append(out, sumsMagic...)
+	out = binary.LittleEndian.AppendUint32(out, ChunkSize)
+	for _, v := range sums {
+		out = binary.LittleEndian.AppendUint32(out, v)
+	}
+	return out
+}
+
+// readSums loads the sidecar of a replica of size bytes: nil when it is
+// absent or not in the current format, core.ErrCorrupt when it is but
+// does not cover the replica chunk for chunk.
+func (s *DiskStore) readSums(b core.Block, size int64) ([]uint32, error) {
+	raw, err := os.ReadFile(s.crcPath(b))
+	if os.IsNotExist(err) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("storage: reading block checksums: %w", err)
+	}
+	if len(raw) < 8 || string(raw[:4]) != sumsMagic || binary.LittleEndian.Uint32(raw[4:8]) != ChunkSize {
+		return nil, nil
+	}
+	raw = raw[8:]
+	if len(raw) != 4*numChunks(size) {
+		return nil, fmt.Errorf("storage: block %s: %d checksum bytes for %d bytes of data: %w",
+			b.ID, len(raw), size, core.ErrCorrupt)
+	}
+	sums := make([]uint32, len(raw)/4)
+	for i := range sums {
+		sums[i] = binary.LittleEndian.Uint32(raw[4*i:])
+	}
+	return sums, nil
+}
+
 // Put implements Store. The content is written to a temporary file and
 // renamed into place so that a crash mid-write never leaves a
 // truncated replica that could be mistaken for a valid one.
@@ -263,8 +385,8 @@ func (s *DiskStore) Put(b core.Block, r io.Reader) (int64, error) {
 		return 0, fmt.Errorf("storage: creating temp block file: %w", err)
 	}
 	tmpName := tmp.Name()
-	h := crc32.New(crcTable)
-	n, err := io.Copy(io.MultiWriter(tmp, h), r)
+	var sums chunkSummer
+	n, err := io.Copy(io.MultiWriter(tmp, &sums), r)
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
 	}
@@ -272,9 +394,9 @@ func (s *DiskStore) Put(b core.Block, r io.Reader) (int64, error) {
 		os.Remove(tmpName)
 		return 0, fmt.Errorf("storage: writing block %s: %w", b.ID, err)
 	}
-	if err := os.WriteFile(s.crcPath(b), fmt.Appendf(nil, "%08x", h.Sum32()), 0o644); err != nil {
+	if err := os.WriteFile(s.crcPath(b), encodeSums(sums.Sums()), 0o644); err != nil {
 		os.Remove(tmpName)
-		return 0, fmt.Errorf("storage: writing block checksum: %w", err)
+		return 0, fmt.Errorf("storage: writing block checksums: %w", err)
 	}
 	if err := os.Rename(tmpName, s.path(b)); err != nil {
 		os.Remove(tmpName)
@@ -289,6 +411,71 @@ func (s *DiskStore) Put(b core.Block, r io.Reader) (int64, error) {
 	s.used += n
 	s.mu.Unlock()
 	return n, nil
+}
+
+// OpenReplica implements Store.
+func (s *DiskStore) OpenReplica(b core.Block) (Replica, error) {
+	f, err := os.Open(s.path(b))
+	if os.IsNotExist(err) {
+		return nil, fmt.Errorf("storage: block %s: %w", b.ID, core.ErrNotFound)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("storage: opening block %s: %w", b.ID, err)
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("storage: opening block %s: %w", b.ID, err)
+	}
+	sums, err := s.readSums(b, fi.Size())
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return &diskReplica{f: f, size: fi.Size(), sums: sums}, nil
+}
+
+// diskReplica reads an open replica file chunk by chunk through one
+// pooled buffer.
+type diskReplica struct {
+	f     *os.File
+	size  int64
+	sums  []uint32
+	buf   []byte
+	alloc int64
+}
+
+func (r *diskReplica) Size() int64       { return r.size }
+func (r *diskReplica) Sums() []uint32    { return r.sums }
+func (r *diskReplica) AllocBytes() int64 { return r.alloc }
+
+func (r *diskReplica) ReadChunk(off int64, n int) ([]byte, error) {
+	if len(r.buf) < n {
+		if r.buf != nil {
+			bufpool.Put(r.buf)
+		}
+		var fresh bool
+		r.buf, fresh = bufpool.Get(max(n, ChunkSize))
+		if fresh {
+			r.alloc += int64(len(r.buf))
+		}
+	}
+	m, err := r.f.ReadAt(r.buf[:n], off)
+	if m < n {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	return r.buf[:n], nil
+}
+
+func (r *diskReplica) Close() error {
+	if r.buf != nil {
+		bufpool.Put(r.buf)
+		r.buf = nil
+	}
+	return r.f.Close()
 }
 
 // Open implements Store.
@@ -322,35 +509,6 @@ func (s *DiskStore) Delete(b core.Block) error {
 		return nil
 	}
 	return err
-}
-
-// Verify implements Store by recomputing the file's CRC-32C and
-// comparing it with the sidecar recorded at Put time. Replicas that
-// predate checksum support (no sidecar) verify trivially.
-func (s *DiskStore) Verify(b core.Block) error {
-	want, err := os.ReadFile(s.crcPath(b))
-	if os.IsNotExist(err) {
-		if s.Has(b) {
-			return nil
-		}
-		return fmt.Errorf("storage: block %s: %w", b.ID, core.ErrNotFound)
-	}
-	if err != nil {
-		return fmt.Errorf("storage: reading block checksum: %w", err)
-	}
-	f, err := os.Open(s.path(b))
-	if err != nil {
-		return fmt.Errorf("storage: block %s: %w", b.ID, core.ErrNotFound)
-	}
-	defer f.Close()
-	h := crc32.New(crcTable)
-	if _, err := io.Copy(h, f); err != nil {
-		return fmt.Errorf("storage: checksumming block %s: %w", b.ID, err)
-	}
-	if got := fmt.Sprintf("%08x", h.Sum32()); got != string(want) {
-		return fmt.Errorf("storage: block %s checksum %s != %s: %w", b.ID, got, want, core.ErrCorrupt)
-	}
-	return nil
 }
 
 // Has implements Store.
@@ -392,18 +550,33 @@ func (s *DiskStore) Close() error {
 // from the declared block length, avoiding the growth-doubling copies
 // that dominate large in-memory writes.
 func readAllSized(r io.Reader, sizeHint int64) ([]byte, error) {
-	capHint := int(sizeHint)
-	if capHint < 512 {
-		capHint = 512
-	}
-	buf := make([]byte, 0, capHint)
+	buf := make([]byte, 0, max(int(sizeHint), 512))
 	for {
 		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)] // grow
+			// A stream of exactly the declared size ends here. Probe
+			// for EOF before growing: growing first would copy the
+			// whole buffer and leave the stored replica with slack.
+			var probe [512]byte
+			n, err := r.Read(probe[:])
+			if n > 0 {
+				buf = append(buf, probe[:n]...)
+			}
+			if err == io.EOF {
+				return buf, nil
+			}
+			if err != nil {
+				return buf, err
+			}
+			continue
 		}
 		n, err := r.Read(buf[len(buf):cap(buf)])
 		buf = buf[:len(buf)+n]
 		if err == io.EOF {
+			if len(buf) < cap(buf)/2 {
+				// A short stream, such as a file's last block: give
+				// the unused capacity back.
+				buf = bytes.Clone(buf)
+			}
 			return buf, nil
 		}
 		if err != nil {

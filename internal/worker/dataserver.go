@@ -410,12 +410,19 @@ func (w *Worker) handleReadBlock(conn net.Conn) (keep bool) {
 	return keep
 }
 
+// Stored chunk sums go out as packet checksums, so a chunk must fill
+// exactly one packet.
+const _ = uint(storage.ChunkSize-rpc.MaxPacketSize) + uint(rpc.MaxPacketSize-storage.ChunkSize)
+
 // readBlock serves one OpReadBlock exchange; errors that can still be
 // delivered go back in the response frame with the request ID attached.
-// The record receives the serve's phase split: device and throttle
-// time from the media stream, socket time from a timed writer around
-// the response frame and packet stream. keep reports whether the
-// response (refusal or full stream) was delivered cleanly.
+// Each chunk of the range goes out as one packet under the checksum
+// stored with it, so the serve itself computes no checksums; the
+// reader verifies every packet. The record receives the serve's phase
+// split: device and throttle time from the media stream, socket time
+// from a timed writer around the response frame and packet stream.
+// keep reports whether the response (refusal or full stream) was
+// delivered cleanly.
 func (w *Worker) readBlock(conn net.Conn, hdr rpc.ReadBlockHeader, legacy bool, rec *xfer.Record) (served int64, tier string, keep bool, err error) {
 	writeResp := respFrame(legacy)
 	tier = "UNKNOWN"
@@ -430,32 +437,27 @@ func (w *Worker) readBlock(conn net.Conn, hdr rpc.ReadBlockHeader, legacy bool, 
 		return refuse(fmt.Errorf("worker: unknown media %s: %w", hdr.Storage, core.ErrNotFound))
 	}
 	tier = media.Tier().String()
-	// Scrub the replica before serving so disk corruption surfaces as
-	// an explicit error the client can report (paper §5 repairs it).
-	if err := media.Verify(hdr.Block); err != nil {
-		w.journal.PublishTraced(events.Error, "block_corrupt", hdr.ReqID,
-			"replica failed checksum scrub; read refused",
-			"block", fmt.Sprintf("%d", hdr.Block.ID),
-			"storage", string(hdr.Storage))
-		return refuse(err)
+	length := hdr.Length
+	if length < 0 {
+		length = max(hdr.Block.NumBytes-hdr.Offset, 0)
 	}
 	var iost storage.IOStats
-	rc, err := media.OpenRangeStats(hdr.Block, hdr.Offset, &iost)
+	cr, err := media.OpenChunks(hdr.Block, hdr.Offset, length, &iost)
 	if err != nil {
+		w.noteCorrupt(hdr, err)
 		return refuse(err)
 	}
 	defer func() {
-		rc.Close()
+		cr.Close()
 		rec.DiskNs = iost.DeviceNs
 		rec.ThrottleWaitNs = iost.ThrottleWaitNs
 	}()
-
-	length := hdr.Length
-	if length < 0 {
-		length = hdr.Block.NumBytes - hdr.Offset
-	}
-	if length < 0 {
-		length = 0
+	// Fetch the first piece before answering, so a range that starts
+	// inside a corrupt chunk is refused rather than cut off.
+	p, sum, err := cr.Next()
+	if err != nil && err != io.EOF {
+		w.noteCorrupt(hdr, err)
+		return refuse(err)
 	}
 	tw := &timedWriter{w: conn, ns: &rec.NetNs}
 	if err := writeResp(tw, rpc.ReadBlockResponse{Length: length}); err != nil {
@@ -463,17 +465,36 @@ func (w *Worker) readBlock(conn net.Conn, hdr rpc.ReadBlockHeader, legacy bool, 
 	}
 	pw := rpc.NewPacketWriter(tw)
 	defer pw.Release()
-	n, err := io.CopyN(pw, rc, length)
-	rec.AllocBytes = pw.AllocBytes()
+	for err == nil {
+		if err = pw.WritePacket(p, sum); err != nil {
+			break
+		}
+		served += int64(len(p))
+		p, sum, err = cr.Next()
+	}
+	rec.AllocBytes = pw.AllocBytes() + cr.AllocBytes()
+	if err == io.EOF {
+		err = pw.Close()
+	}
 	if err != nil {
+		// The connection dies mid-stream; the client fails over.
+		w.noteCorrupt(hdr, err)
 		w.cfg.Logger.Warn("block read stream failed", "block", hdr.Block.ID, "req", hdr.ReqID, "err", err)
-		return n, tier, false, err // connection dies; the client fails over
+		return served, tier, false, err
 	}
-	if err := pw.Close(); err != nil {
-		w.cfg.Logger.Warn("block read close failed", "err", err)
-		return n, tier, false, err
+	return served, tier, true, nil
+}
+
+// noteCorrupt publishes a block_corrupt event when a read found a
+// replica failing its stored checksums.
+func (w *Worker) noteCorrupt(hdr rpc.ReadBlockHeader, err error) {
+	if !errors.Is(err, core.ErrCorrupt) {
+		return
 	}
-	return n, tier, true, nil
+	w.journal.PublishTraced(events.Error, "block_corrupt", hdr.ReqID,
+		"replica failed its stored checksum; read refused",
+		"block", fmt.Sprintf("%d", hdr.Block.ID),
+		"storage", string(hdr.Storage))
 }
 
 // handleReplicateBlock lets a peer push a replication order directly

@@ -18,6 +18,13 @@ import (
 // media, returning both.
 func testWorker(t *testing.T) (*master.Master, *Worker) {
 	t.Helper()
+	m, w, _ := testWorkerDir(t)
+	return m, w
+}
+
+// testWorkerDir is testWorker also returning the HDD media's directory.
+func testWorkerDir(t *testing.T) (*master.Master, *Worker, string) {
+	t.Helper()
 	m, err := master.New(master.Config{
 		ListenAddr:      "127.0.0.1:0",
 		BlockSize:       1 << 20,
@@ -27,6 +34,14 @@ func testWorker(t *testing.T) (*master.Master, *Worker) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { m.Close() })
+	dir := t.TempDir()
+	return m, startTestWorker(t, m, dir), dir
+}
+
+// startTestWorker starts the test worker against m with its HDD media
+// in dir.
+func startTestWorker(t *testing.T, m *master.Master, dir string) *Worker {
+	t.Helper()
 	w, err := New(Config{
 		ID:         "wtest",
 		Node:       "wtest",
@@ -35,7 +50,7 @@ func testWorker(t *testing.T) (*master.Master, *Worker) {
 		DataAddr:   "127.0.0.1:0",
 		Media: []storage.MediaConfig{
 			{ID: "wtest:mem0", Tier: core.TierMemory, Capacity: 64 << 20},
-			{ID: "wtest:hdd0", Tier: core.TierHDD, Capacity: 64 << 20, Dir: t.TempDir()},
+			{ID: "wtest:hdd0", Tier: core.TierHDD, Capacity: 64 << 20, Dir: dir},
 		},
 		HeartbeatInterval:   50 * time.Millisecond,
 		BlockReportInterval: 200 * time.Millisecond,
@@ -44,7 +59,7 @@ func testWorker(t *testing.T) (*master.Master, *Worker) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { w.Close() })
-	return m, w
+	return w
 }
 
 func TestWriteAndReadBlockDirectly(t *testing.T) {
