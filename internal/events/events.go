@@ -7,7 +7,7 @@
 // actions, and placement decisions, each stamped with a monotonic
 // sequence number so consumers can cursor through them exactly once.
 //
-// The journal is a bounded ring buffer: memory never grows past the
+// The journal is a bounded ring.Log: memory never grows past the
 // configured capacity no matter how many events are published. Evicted
 // events are counted, and the Since cursor reports how many events a
 // consumer missed to eviction, so a poller can always distinguish "no
@@ -15,8 +15,10 @@
 package events
 
 import (
-	"sync"
-	"time"
+	"net/http"
+
+	"repro/internal/httpjson"
+	"repro/internal/ring"
 )
 
 // DefaultCapacity bounds the journal when the configured capacity is
@@ -67,17 +69,11 @@ type Event struct {
 	Attrs map[string]string `json:"attrs,omitempty"`
 }
 
-// Journal is a bounded, thread-safe event ring buffer with per-type
+// Journal is a bounded, thread-safe event ring with per-type
 // counters. A nil *Journal is valid and discards everything, so
 // callers never need nil checks on the publish path.
 type Journal struct {
-	mu      sync.Mutex
-	buf     []Event // ring storage, len == capacity
-	start   int     // index of the oldest retained event
-	n       int     // retained events
-	nextSeq uint64  // next sequence number to assign (first event gets 1)
-	evicted uint64  // events dropped from the ring (oldest-first)
-	counts  map[string]uint64
+	events *ring.Log[Event]
 }
 
 // NewJournal builds a journal retaining up to capacity events (<= 0
@@ -86,11 +82,20 @@ func NewJournal(capacity int) *Journal {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Journal{
-		buf:     make([]Event, capacity),
-		nextSeq: 1,
-		counts:  make(map[string]uint64),
+	// Publish stores synchronously (it returns the sequence number),
+	// so the journal needs no append backlog.
+	return &Journal{events: ring.NewLog(capacity, 0,
+		func(e Event, seq uint64, now int64) Event { e.Seq, e.Time = seq, now; return e },
+		func(e Event) string { return e.Type })}
+}
+
+// log returns the journal's ring, nil for a nil journal (whose methods
+// then discard or report zero).
+func (j *Journal) log() *ring.Log[Event] {
+	if j == nil {
+		return nil
 	}
+	return j.events
 }
 
 // Publish appends an event and returns its sequence number. kv are
@@ -113,30 +118,13 @@ func (j *Journal) PublishTraced(sev Severity, typ, traceID, msg string, kv ...st
 			attrs[kv[i]] = kv[i+1]
 		}
 	}
-	e := Event{
-		Time:     time.Now().UnixNano(),
+	return j.events.Add(Event{
 		Type:     typ,
 		Severity: sev,
 		Message:  msg,
 		TraceID:  traceID,
 		Attrs:    attrs,
-	}
-	j.mu.Lock()
-	e.Seq = j.nextSeq
-	j.nextSeq++
-	j.counts[typ]++
-	if j.n == len(j.buf) {
-		// Ring full: overwrite the oldest slot in place; memory stays
-		// exactly at capacity.
-		j.buf[j.start] = e
-		j.start = (j.start + 1) % len(j.buf)
-		j.evicted++
-	} else {
-		j.buf[(j.start+j.n)%len(j.buf)] = e
-		j.n++
-	}
-	j.mu.Unlock()
-	return e.Seq
+	})
 }
 
 // Page is one Since result: a slice of events plus the cursor state a
@@ -163,87 +151,40 @@ type Page struct {
 // Since returns retained events with Seq > since, oldest first,
 // optionally filtered by type, capped at limit (<= 0 means no cap).
 func (j *Journal) Since(since uint64, typ string, limit int) Page {
-	if j == nil {
-		return Page{Next: since}
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	page := Page{Next: since, Evicted: j.evicted}
-	// Events 1..evicted are gone; anything the cursor had not yet seen
-	// in that range was missed. Advance the cursor past the hole so
-	// the loss is reported exactly once.
-	if j.evicted > since {
-		page.Missed = j.evicted - since
-		page.Next = j.evicted
-	}
-	for i := 0; i < j.n; i++ {
-		e := j.buf[(j.start+i)%len(j.buf)]
-		if e.Seq <= since {
-			continue
-		}
-		if limit > 0 && len(page.Events) >= limit {
-			break
-		}
-		page.Next = e.Seq
-		if typ != "" && e.Type != typ {
-			continue
-		}
-		page.Events = append(page.Events, e)
-	}
-	return page
+	p := j.log().Since(since, typ, limit)
+	return Page{Events: p.Entries, Next: p.Next, Missed: p.Missed, Evicted: p.Evicted}
 }
 
 // Counts returns a copy of the per-type publication totals (lifetime,
 // not just retained).
-func (j *Journal) Counts() map[string]uint64 {
-	if j == nil {
-		return nil
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	out := make(map[string]uint64, len(j.counts))
-	for k, v := range j.counts {
-		out[k] = v
-	}
-	return out
-}
+func (j *Journal) Counts() map[string]uint64 { return j.log().Counts() }
 
 // Len returns the number of retained events.
-func (j *Journal) Len() int {
-	if j == nil {
-		return 0
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.n
-}
+func (j *Journal) Len() int { return j.log().Len() }
 
 // Cap returns the configured capacity.
-func (j *Journal) Cap() int {
-	if j == nil {
-		return 0
-	}
-	return len(j.buf)
-}
+func (j *Journal) Cap() int { return j.log().Cap() }
 
 // LastSeq returns the highest assigned sequence number (0 before the
 // first publish).
-func (j *Journal) LastSeq() uint64 {
-	if j == nil {
-		return 0
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.nextSeq - 1
-}
+func (j *Journal) LastSeq() uint64 { return j.log().LastSeq() }
 
 // Evicted returns how many events have been dropped to the capacity
 // bound over the journal's lifetime.
-func (j *Journal) Evicted() uint64 {
-	if j == nil {
-		return 0
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.evicted
+func (j *Journal) Evicted() uint64 { return j.log().Evicted() }
+
+// debugResponse is the /debug/events JSON document: one cursor page
+// plus the per-type lifetime counters.
+type debugResponse struct {
+	Page
+	Counts map[string]uint64 `json:"counts"`
+}
+
+// RegisterDebugHandler mounts the journal on mux at /debug/events,
+// paged by httpjson.Cursor with a ?type filter. Each page carries the
+// per-type lifetime counters.
+func RegisterDebugHandler(mux *http.ServeMux, j *Journal) {
+	mux.Handle("/debug/events", httpjson.Cursor("type", func(since uint64, typ string, limit int) any {
+		return debugResponse{j.Since(since, typ, limit), j.Counts()}
+	}))
 }

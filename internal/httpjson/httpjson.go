@@ -1,8 +1,9 @@
 // Package httpjson bundles the JSON plumbing shared by every debug
 // endpoint (/debug/events, /debug/history, /debug/traces,
 // /debug/heat, /status): one Write helper that always sets the
-// Content-Type header, and query-parameter parsers with a consistent
-// 400-on-bad-param contract.
+// Content-Type header, query-parameter parsers with a consistent
+// 400-on-bad-param contract, and the cursor handler behind the
+// sequenced logs (/debug/events, /debug/audit, /debug/transfers).
 package httpjson
 
 import (
@@ -69,6 +70,26 @@ func BoolParam(w http.ResponseWriter, r *http.Request, name string, def bool) (b
 		return false, false
 	}
 	return v, true
+}
+
+// Cursor serves one page of a sequenced log per request: ?since=<seq>
+// resumes a cursor (default 0, from the oldest retained item),
+// ?<filter>=<kind> keeps only items of one kind, and ?limit=<n> caps
+// the page (default 1000). page builds the JSON document from the
+// three; it carries the next cursor and the eviction counters so
+// pollers can tell "no news" from "news lost".
+func Cursor(filter string, page func(since uint64, kind string, limit int) any) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		since, ok := Uint64Param(w, r, "since", 0)
+		if !ok {
+			return
+		}
+		limit, ok := IntParam(w, r, "limit", 1000)
+		if !ok {
+			return
+		}
+		Write(w, page(since, r.URL.Query().Get(filter), limit))
+	}
 }
 
 func badParam(w http.ResponseWriter, name, val string) {

@@ -100,9 +100,6 @@ func (m *Master) AuditLog() *audit.Log { return m.audit }
 func (s *Service) GetAudit(args *rpc.GetAuditArgs, reply *rpc.GetAuditReply) (err error) {
 	defer s.m.trackOpUntraced("getAudit", args.ReqID)(&err)
 	reply.Page = s.m.audit.Since(args.Since, args.Op, args.Limit)
-	if reply.Page.Entries == nil {
-		reply.Page.Entries = []audit.Entry{}
-	}
 	reply.Counts = s.m.audit.Counts()
 	return nil
 }

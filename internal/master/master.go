@@ -23,6 +23,7 @@ import (
 	"repro/internal/events"
 	"repro/internal/namespace"
 	"repro/internal/policy"
+	"repro/internal/ring"
 	"repro/internal/rpc"
 	"repro/internal/topology"
 	"repro/internal/trace"
@@ -229,14 +230,12 @@ type Master struct {
 	// guarded by mu.
 	httpAddr string
 
-	histMu    sync.Mutex
-	history   []rpc.ClusterSample // telemetry ring, len == historyCapacity
-	histStart int
-	histN     int
+	histMu  sync.Mutex
+	history *ring.Buffer[rpc.ClusterSample]
 
 	placeMu    sync.Mutex
 	placements map[core.BlockID]rpc.BlockExplanation
-	placeOrder []core.BlockID // FIFO eviction order
+	placed     *ring.Buffer[core.BlockID] // placements' keys, oldest first
 
 	// heat is the access-heat plane: decayed per-block/per-file
 	// counters and the block → path index (see heat.go).
@@ -278,8 +277,9 @@ func New(cfg Config) (*Master, error) {
 		schedTargets:   make(map[core.BlockID][]core.StorageID),
 		repairing:      make(map[core.BlockID]time.Time),
 		decommissioned: make(map[core.WorkerID]struct{}),
-		history:        make([]rpc.ClusterSample, historyCapacity),
+		history:        ring.NewBuffer[rpc.ClusterSample](historyCapacity),
 		placements:     make(map[core.BlockID]rpc.BlockExplanation),
+		placed:         ring.NewBuffer[core.BlockID](placementCapacity),
 		rng:            rand.New(rand.NewSource(cfg.Seed)),
 		done:           make(chan struct{}),
 		conns:          make(map[net.Conn]struct{}),

@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/events"
 	"repro/internal/policy"
+	"repro/internal/ring"
 	"repro/internal/rpc"
 )
 
@@ -62,7 +63,7 @@ type mover struct {
 	mu       sync.Mutex
 	inflight map[core.BlockID]*rpc.MoveRecord
 	cooldown map[core.BlockID]time.Time
-	recent   []rpc.MoveRecord // newest first, bounded by moverRecentCap
+	recent   *ring.Buffer[rpc.MoveRecord] // finished moves, oldest first
 	counters rpc.MoverCounters
 	// budget is the remaining bytes allowance; scheduling charges the
 	// full block size (possibly driving it negative) and refills at
@@ -79,6 +80,7 @@ func newMover(cfg Config) *mover {
 		cooldownSpan: cfg.MoverCooldown,
 		inflight:     make(map[core.BlockID]*rpc.MoveRecord),
 		cooldown:     make(map[core.BlockID]time.Time),
+		recent:       ring.NewBuffer[rpc.MoveRecord](moverRecentCap),
 	}
 	if mv.interval == 0 {
 		mv.interval = defaultMoverInterval
@@ -103,6 +105,8 @@ func (mv *mover) enabled() bool { return mv.interval > 0 }
 // MoverBytesPerSec removes it).
 func (mv *mover) limited() bool { return mv.bytesPerSec > 0 }
 
+func (mv *mover) pushRecentLocked(rec rpc.MoveRecord) { mv.recent.Push(rec) }
+
 func (mv *mover) refillLocked(now time.Time) {
 	if !mv.limited() {
 		return
@@ -116,13 +120,6 @@ func (mv *mover) refillLocked(now time.Time) {
 		}
 	}
 	mv.lastRefill = now
-}
-
-func (mv *mover) pushRecentLocked(rec rpc.MoveRecord) {
-	mv.recent = append([]rpc.MoveRecord{rec}, mv.recent...)
-	if len(mv.recent) > moverRecentCap {
-		mv.recent = mv.recent[:moverRecentCap]
-	}
 }
 
 // moverBusy reports whether the mover has an in-flight move for the
@@ -438,24 +435,14 @@ func (m *Master) startMoveLocked(snap *policy.Snapshot, f rpc.MisplacedBlock, in
 // mover's decision, so octopus-cli explain shows why the block last
 // moved rather than where its write originally landed.
 func (m *Master) recordMove(rec *rpc.MoveRecord, decisions []policy.ReplicaDecision) {
-	be := rpc.BlockExplanation{
+	m.retainExplanation(rpc.BlockExplanation{
 		Block:    rec.Block,
 		TimeNs:   rec.StartedNs,
 		TraceID:  rec.TraceID,
 		Origin:   rec.Kind,
 		Heat:     rec.Heat,
 		Replicas: wireDecisions(decisions),
-	}
-	m.placeMu.Lock()
-	if _, exists := m.placements[rec.Block]; !exists {
-		m.placeOrder = append(m.placeOrder, rec.Block)
-		for len(m.placeOrder) > placementCapacity {
-			delete(m.placements, m.placeOrder[0])
-			m.placeOrder = m.placeOrder[1:]
-		}
-	}
-	m.placements[rec.Block] = be
-	m.placeMu.Unlock()
+	})
 }
 
 // moverStatus assembles the mover observability document served by
@@ -475,7 +462,9 @@ func (m *Master) moverStatus() rpc.MoverStatus {
 		st.InFlight = append(st.InFlight, *rec)
 	}
 	sort.Slice(st.InFlight, func(i, j int) bool { return st.InFlight[i].StartedNs < st.InFlight[j].StartedNs })
-	st.Recent = append([]rpc.MoveRecord(nil), mv.recent...)
+	for i := mv.recent.Len() - 1; i >= 0; i-- {
+		st.Recent = append(st.Recent, mv.recent.At(i))
+	}
 	st.Counters = mv.counters
 	return st
 }

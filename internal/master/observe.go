@@ -67,13 +67,7 @@ func (m *Master) Journal() *events.Journal { return m.journal }
 func (m *Master) sampleHistory() {
 	s := m.liveSample()
 	m.histMu.Lock()
-	if m.histN == len(m.history) {
-		m.history[m.histStart] = s
-		m.histStart = (m.histStart + 1) % len(m.history)
-	} else {
-		m.history[(m.histStart+m.histN)%len(m.history)] = s
-		m.histN++
-	}
+	m.history.Push(s)
 	m.histMu.Unlock()
 }
 
@@ -120,9 +114,9 @@ func sortWorkerSamples(ws []rpc.WorkerSample) {
 // `last` entries.
 func (m *Master) clusterHistory(last int) []rpc.ClusterSample {
 	m.histMu.Lock()
-	out := make([]rpc.ClusterSample, 0, m.histN+1)
-	for i := 0; i < m.histN; i++ {
-		out = append(out, m.history[(m.histStart+i)%len(m.history)])
+	out := make([]rpc.ClusterSample, 0, m.history.Len()+1)
+	for i := 0; i < m.history.Len(); i++ {
+		out = append(out, m.history.At(i))
 	}
 	m.histMu.Unlock()
 	out = append(out, m.liveSample())
@@ -133,28 +127,18 @@ func (m *Master) clusterHistory(last int) []rpc.ClusterSample {
 }
 
 // recordPlacement converts a placement decision set to its wire form,
-// retains it for Master.Explain (FIFO-bounded), and journals the
-// chosen-vs-runner-up breakdown as a placement event.
+// retains it for Master.Explain, and journals the chosen-vs-runner-up
+// breakdown as a placement event.
 func (m *Master) recordPlacement(path string, blk core.Block, traceID string, decisions []policy.ReplicaDecision) {
 	if len(decisions) == 0 {
 		return
 	}
-	be := rpc.BlockExplanation{
+	m.retainExplanation(rpc.BlockExplanation{
 		Block:    blk.ID,
 		TimeNs:   time.Now().UnixNano(),
 		TraceID:  traceID,
 		Replicas: wireDecisions(decisions),
-	}
-	m.placeMu.Lock()
-	if _, exists := m.placements[blk.ID]; !exists {
-		m.placeOrder = append(m.placeOrder, blk.ID)
-		for len(m.placeOrder) > placementCapacity {
-			delete(m.placements, m.placeOrder[0])
-			m.placeOrder = m.placeOrder[1:]
-		}
-	}
-	m.placements[blk.ID] = be
-	m.placeMu.Unlock()
+	})
 
 	attrs := []string{
 		"path", path,
@@ -177,6 +161,20 @@ func (m *Master) recordPlacement(path string, blk core.Block, traceID string, de
 	}
 	m.journal.PublishTraced(events.Info, evPlacement, traceID,
 		"placement decision for "+path, attrs...)
+}
+
+// retainExplanation stores the block's latest explanation for
+// Master.Explain. Once placementCapacity blocks are explained, the
+// block first explained longest ago is forgotten.
+func (m *Master) retainExplanation(be rpc.BlockExplanation) {
+	m.placeMu.Lock()
+	defer m.placeMu.Unlock()
+	if _, exists := m.placements[be.Block]; !exists {
+		if old, evicted := m.placed.Push(be.Block); evicted {
+			delete(m.placements, old)
+		}
+	}
+	m.placements[be.Block] = be
 }
 
 // placementFor returns the retained explanation for one block.
@@ -250,9 +248,6 @@ func (m *Master) decommission(id core.WorkerID, reqID string) error {
 func (s *Service) GetEvents(args *rpc.GetEventsArgs, reply *rpc.GetEventsReply) (err error) {
 	defer s.m.trackOpUntraced("getEvents", args.ReqID)(&err)
 	reply.Page = s.m.journal.Since(args.Since, args.Type, args.Limit)
-	if reply.Page.Events == nil {
-		reply.Page.Events = []events.Event{}
-	}
 	reply.Counts = s.m.journal.Counts()
 	return nil
 }

@@ -26,9 +26,6 @@ func (m *Master) TransferLog() *xfer.Log { return m.xfers }
 func (s *Service) ReportTransfers(args *rpc.ReportTransfersArgs, _ *rpc.ReportTransfersReply) (err error) {
 	defer s.m.trackOpUntraced("reportTransfers", args.ReqID)(&err)
 	for _, r := range args.Records {
-		// The master's log assigns its own sequence numbers; a
-		// client-local Seq would corrupt the cursor ordering.
-		r.Seq = 0
 		s.m.xfers.Append(r)
 	}
 	return nil
@@ -53,9 +50,6 @@ func (m *Master) assembleTransfers(since uint64, op string, limit int) []rpc.Tra
 		Source: "master",
 		Page:   m.xfers.Since(since, op, limit),
 		Counts: m.xfers.Counts(),
-	}
-	if masterSrc.Page.Entries == nil {
-		masterSrc.Page.Entries = []xfer.Record{}
 	}
 
 	type workerAddr struct {
@@ -84,9 +78,6 @@ func (m *Master) assembleTransfers(since uint64, op string, limit int) []rpc.Tra
 			} else {
 				src.Page = page
 				src.Counts = counts
-			}
-			if src.Page.Entries == nil {
-				src.Page.Entries = []xfer.Record{}
 			}
 			fromWorkers[i] = src
 		}(i, wa)

@@ -8,21 +8,18 @@ import (
 	"repro/internal/core"
 )
 
-// Binary framing for the hot-path control messages. The legacy format
-// gob-encoded every header, building an encoder (and re-transmitting
-// type descriptors) per frame; the v1 binary format is a fixed
-// little-endian layout:
+// Binary framing for the hot-path control messages. Gob would build an
+// encoder (and re-transmit type descriptors) per frame; the v1 binary
+// format is a fixed little-endian layout:
 //
 //	[0x01][u32 LE payload length][u8 msgType][fields…]
 //
 // where fields are little-endian integers and u32-length-prefixed
-// strings. Legacy gob frames start with the high byte of a big-endian
-// u32 length, which maxFrameSize (1 MiB) keeps at 0x00 — so the first
-// byte on the wire distinguishes the formats and ReadFrame accepts
-// both. Responders echo the requester's format (ReadFrameEx reports
-// it), so an old gob-only peer interoperates with a new binary-framing
-// one in either direction. The cold-path dump messages (trace and
-// transfer pages) carry nested structs and stay on gob.
+// strings. The cold-path dump messages (trace and transfer pages)
+// carry nested structs and stay on gob: WriteFrame picks the format
+// by message type. A gob frame starts with the high byte of a
+// big-endian u32 length, which maxFrameSize (1 MiB) keeps at 0x00 —
+// so the first byte on the wire tells ReadFrame which format follows.
 const frameTagBinary = 0x01
 
 // Binary message types. The type byte leads the payload so a decoder

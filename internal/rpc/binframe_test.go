@@ -61,38 +61,8 @@ func TestBinaryFrameRoundTrip(t *testing.T) {
 			if tag := buf.Bytes()[0]; tag != frameTagBinary {
 				t.Fatalf("hot message framed with tag 0x%02x, want binary 0x%02x", tag, frameTagBinary)
 			}
-			legacy, err := ReadFrameEx(&buf, c.out)
-			if err != nil {
-				t.Fatalf("ReadFrameEx: %v", err)
-			}
-			if legacy {
-				t.Error("binary frame reported as legacy")
-			}
-			assertFrameEqual(t, c.name, c.in, c.out)
-		})
-	}
-}
-
-// TestLegacyGobFrameRoundTrip forces every hot message through the
-// legacy gob framing — what a mixed-version peer would send — and
-// checks the reader auto-detects and decodes it, reporting legacy so
-// the responder can echo the old format.
-func TestLegacyGobFrameRoundTrip(t *testing.T) {
-	for _, c := range hotMessages() {
-		t.Run(c.name, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := WriteFrameLegacy(&buf, c.in); err != nil {
-				t.Fatalf("WriteFrameLegacy: %v", err)
-			}
-			if tag := buf.Bytes()[0]; tag == frameTagBinary {
-				t.Fatal("legacy frame carries the binary tag")
-			}
-			legacy, err := ReadFrameEx(&buf, c.out)
-			if err != nil {
-				t.Fatalf("ReadFrameEx: %v", err)
-			}
-			if !legacy {
-				t.Error("gob frame not reported as legacy")
+			if err := ReadFrame(&buf, c.out); err != nil {
+				t.Fatalf("ReadFrame: %v", err)
 			}
 			assertFrameEqual(t, c.name, c.in, c.out)
 		})
@@ -148,8 +118,7 @@ func assertFrameEqual(t *testing.T, name string, in, out any) {
 }
 
 // TestColdMessagesFallBackToGob: dump messages are not worth a binary
-// codec; WriteFrame must emit them as gob frames a legacy peer can
-// also read.
+// codec; WriteFrame must emit them as gob frames ReadFrame decodes.
 func TestColdMessagesFallBackToGob(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteFrame(&buf, TraceDumpHeader{TraceID: "t1"}); err != nil {
@@ -159,12 +128,8 @@ func TestColdMessagesFallBackToGob(t *testing.T) {
 		t.Error("TraceDumpHeader framed as binary, want gob fallback")
 	}
 	var out TraceDumpHeader
-	legacy, err := ReadFrameEx(&buf, &out)
-	if err != nil || out.TraceID != "t1" {
+	if err := ReadFrame(&buf, &out); err != nil || out.TraceID != "t1" {
 		t.Fatalf("gob fallback round trip: %v %+v", err, out)
-	}
-	if !legacy {
-		t.Error("gob fallback frame not reported legacy")
 	}
 }
 

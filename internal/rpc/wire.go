@@ -17,8 +17,8 @@ import (
 
 // The data-transfer protocol spoken on a worker's data port. Every
 // exchange starts with a one-byte opcode followed by a length-prefixed
-// header frame (binary v1 for the hot-path messages, gob for the
-// legacy format and the dump messages — see binframe.go); block
+// header frame (binary v1 for the hot-path messages, gob for the dump
+// messages — see binframe.go); block
 // content then flows as checksummed packets. Connections are
 // persistent: after a clean exchange the same connection carries the
 // next opcode.
@@ -153,47 +153,31 @@ type TransferDumpResponse struct {
 // WriteFrame encodes v as one length-prefixed frame: binary v1 for
 // the hot-path messages, gob otherwise.
 func WriteFrame(w io.Writer, v any) error {
-	return writeFrameFmt(w, v, false)
-}
-
-// WriteFrameLegacy encodes v as a legacy gob frame regardless of
-// type. Responders use it to echo a gob-framed request's format, so a
-// mixed-version cluster interoperates; tests use it to emulate an old
-// peer.
-func WriteFrameLegacy(w io.Writer, v any) error {
-	return writeFrameFmt(w, v, true)
-}
-
-func writeFrameFmt(w io.Writer, v any, legacy bool) error {
-	if !legacy {
-		bp := frameScratch.Get().(*[]byte)
-		buf := (*bp)[:0]
-		// Reserve the tag + length prefix, then append the payload.
-		buf = append(buf, frameTagBinary, 0, 0, 0, 0)
-		buf, ok := encodeBinary(buf, v)
-		if ok {
-			binary.LittleEndian.PutUint32(buf[1:5], uint32(len(buf)-5))
-			connStats.frames.Add(1)
-			connStats.frameBytes.Add(uint64(len(buf) - 5))
-			_, err := w.Write(buf)
-			*bp = buf[:0]
-			frameScratch.Put(bp)
-			if err != nil {
-				return fmt.Errorf("rpc: writing frame: %w", err)
-			}
-			return nil
-		}
+	bp := frameScratch.Get().(*[]byte)
+	buf := (*bp)[:0]
+	// Reserve the tag + length prefix, then append the payload.
+	buf = append(buf, frameTagBinary, 0, 0, 0, 0)
+	buf, ok := encodeBinary(buf, v)
+	if ok {
+		binary.LittleEndian.PutUint32(buf[1:5], uint32(len(buf)-5))
+		connStats.frames.Add(1)
+		connStats.frameBytes.Add(uint64(len(buf) - 5))
+		_, err := w.Write(buf)
 		*bp = buf[:0]
 		frameScratch.Put(bp)
-	}
-	var buf []byte
-	{
-		var bw lenWriter
-		if err := gob.NewEncoder(&bw).Encode(v); err != nil {
-			return fmt.Errorf("rpc: encoding frame: %w", err)
+		if err != nil {
+			return fmt.Errorf("rpc: writing frame: %w", err)
 		}
-		buf = bw.buf
+		return nil
 	}
+	*bp = buf[:0]
+	frameScratch.Put(bp)
+
+	var bw lenWriter
+	if err := gob.NewEncoder(&bw).Encode(v); err != nil {
+		return fmt.Errorf("rpc: encoding frame: %w", err)
+	}
+	buf = bw.buf
 	connStats.frames.Add(1)
 	connStats.frameBytes.Add(uint64(len(buf)))
 	var hdr [4]byte
@@ -209,31 +193,24 @@ func writeFrameFmt(w io.Writer, v any, legacy bool) error {
 
 // maxFrameSize bounds a control frame; headers are small, so anything
 // bigger indicates a corrupt or hostile stream. Keeping it under
-// 1<<24 also guarantees a legacy gob frame's first byte is 0x00,
-// which is how ReadFrame tells the formats apart.
+// 1<<24 also guarantees a gob frame's first byte is 0x00, which is
+// how ReadFrame tells the formats apart.
 const maxFrameSize = 1 << 20
 
-// ReadFrame decodes one length-prefixed frame into v, accepting both
-// the binary v1 and the legacy gob format.
+// ReadFrame decodes one length-prefixed frame into v: binary v1 or,
+// for the dump messages, gob.
 func ReadFrame(r io.Reader, v any) error {
-	_, err := ReadFrameEx(r, v)
-	return err
-}
-
-// ReadFrameEx is ReadFrame reporting which format the frame used, so
-// a responder can echo it (legacy peers must receive gob responses).
-func ReadFrameEx(r io.Reader, v any) (legacy bool, err error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
-		return false, err
+		return err
 	}
 	if hdr[0] == frameTagBinary {
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return false, fmt.Errorf("rpc: reading frame length: %w", err)
+			return fmt.Errorf("rpc: reading frame length: %w", err)
 		}
 		n := binary.LittleEndian.Uint32(hdr[:])
 		if n > maxFrameSize {
-			return false, fmt.Errorf("rpc: frame of %d bytes exceeds limit", n)
+			return fmt.Errorf("rpc: frame of %d bytes exceeds limit", n)
 		}
 		connStats.frames.Add(1)
 		connStats.frameBytes.Add(uint64(n))
@@ -246,33 +223,33 @@ func ReadFrameEx(r io.Reader, v any) (legacy bool, err error) {
 		if _, err := io.ReadFull(r, buf); err != nil {
 			*bp = buf[:0]
 			frameScratch.Put(bp)
-			return false, fmt.Errorf("rpc: reading frame body: %w", err)
+			return fmt.Errorf("rpc: reading frame body: %w", err)
 		}
 		err := decodeBinary(buf, v)
 		*bp = buf[:0]
 		frameScratch.Put(bp)
-		return false, err
+		return err
 	}
 	if hdr[0] != 0 {
-		return false, fmt.Errorf("rpc: unknown frame tag 0x%02x", hdr[0])
+		return fmt.Errorf("rpc: unknown frame tag 0x%02x", hdr[0])
 	}
 	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
-		return true, err
+		return err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
 	if n > maxFrameSize {
-		return true, fmt.Errorf("rpc: frame of %d bytes exceeds limit", n)
+		return fmt.Errorf("rpc: frame of %d bytes exceeds limit", n)
 	}
 	connStats.frames.Add(1)
 	connStats.frameBytes.Add(uint64(n))
 	buf := make([]byte, n)
 	if _, err := io.ReadFull(r, buf); err != nil {
-		return true, fmt.Errorf("rpc: reading frame body: %w", err)
+		return fmt.Errorf("rpc: reading frame body: %w", err)
 	}
 	if err := gob.NewDecoder(&frameReader{buf}).Decode(v); err != nil {
-		return true, fmt.Errorf("rpc: decoding frame: %w", err)
+		return fmt.Errorf("rpc: decoding frame: %w", err)
 	}
-	return true, nil
+	return nil
 }
 
 type lenWriter struct{ buf []byte }

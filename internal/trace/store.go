@@ -5,6 +5,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"repro/internal/ring"
 )
 
 const (
@@ -30,14 +32,21 @@ const (
 //
 // Eviction beyond capacity removes the oldest non-slow trace first,
 // falling back to the oldest overall, so slow traces survive churn
-// while sampled-in fast traces age out.
+// while sampled-in fast traces age out. Eviction costs O(1)
+// amortised: fastIDs holds retained trace IDs in admission order, and
+// eviction pops it, dropping the first trace that is not slow and
+// moving the slow ones it passes — slow at admission or since — to
+// slowIDs, which it pops only once fastIDs is empty. Every ID in
+// slowIDs is thus older than every ID in fastIDs, and both keep
+// admission order.
 type Store struct {
 	mu       sync.Mutex
 	capacity int
 	slow     time.Duration
 	sample   float64
 	traces   map[string]*traceEntry
-	order    []string // insertion order, oldest first
+	fastIDs  *ring.Buffer[string]
+	slowIDs  *ring.Buffer[string]
 }
 
 type traceEntry struct {
@@ -63,11 +72,15 @@ func NewStore(capacity int, slowThreshold time.Duration, sample float64) *Store 
 	if sample > 1 {
 		sample = 1
 	}
+	// A trace is admitted before eviction runs, so capacity+1 IDs
+	// may be held at once.
 	return &Store{
 		capacity: capacity,
 		slow:     slowThreshold,
 		sample:   sample,
 		traces:   make(map[string]*traceEntry),
+		fastIDs:  ring.NewBuffer[string](capacity + 1),
+		slowIDs:  ring.NewBuffer[string](capacity + 1),
 	}
 }
 
@@ -116,7 +129,7 @@ func (s *Store) Add(sp Span) {
 		}
 		e = &traceEntry{}
 		s.traces[sp.TraceID] = e
-		s.order = append(s.order, sp.TraceID)
+		s.fastIDs.Push(sp.TraceID)
 	}
 	if slow {
 		e.slow = true
@@ -132,19 +145,15 @@ func (s *Store) Add(sp Span) {
 // evictLocked enforces capacity, preferring the oldest non-slow
 // trace; if every trace is slow the oldest overall goes.
 func (s *Store) evictLocked() {
-	for len(s.order) > s.capacity {
-		victim := -1
-		for i, id := range s.order {
-			if !s.traces[id].slow {
-				victim = i
-				break
-			}
+	for len(s.traces) > s.capacity {
+		id, ok := s.fastIDs.Pop()
+		if !ok {
+			id, _ = s.slowIDs.Pop()
+		} else if s.traces[id].slow {
+			s.slowIDs.Push(id)
+			continue
 		}
-		if victim < 0 {
-			victim = 0
-		}
-		delete(s.traces, s.order[victim])
-		s.order = append(s.order[:victim:victim], s.order[victim+1:]...)
+		delete(s.traces, id)
 	}
 }
 
@@ -195,32 +204,38 @@ func (s *Store) List() []Summary {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]Summary, 0, len(s.order))
-	for i := len(s.order) - 1; i >= 0; i-- {
-		id := s.order[i]
-		e := s.traces[id]
-		sum := Summary{TraceID: id, Spans: len(e.spans), Slow: e.slow, Dropped: e.dropped}
-		var minStart, maxEnd int64
-		for _, sp := range e.spans {
-			if minStart == 0 || sp.Start < minStart {
-				minStart = sp.Start
-				sum.Root = sp.Op
-			}
-			if sp.End > maxEnd {
-				maxEnd = sp.End
-			}
-			// Prefer a true root's op name when one is present.
-			if sp.ParentID == "" && sum.Root != sp.Op && sp.Start == minStart {
-				sum.Root = sp.Op
-			}
+	out := make([]Summary, 0, len(s.traces))
+	for _, ids := range []*ring.Buffer[string]{s.fastIDs, s.slowIDs} {
+		for i := ids.Len() - 1; i >= 0; i-- {
+			out = append(out, s.summarizeLocked(ids.At(i)))
 		}
-		sum.Start = minStart
-		if maxEnd > minStart {
-			sum.Duration = maxEnd - minStart
-		}
-		out = append(out, sum)
 	}
 	return out
+}
+
+// summarizeLocked describes one retained trace. Callers hold s.mu.
+func (s *Store) summarizeLocked(id string) Summary {
+	e := s.traces[id]
+	sum := Summary{TraceID: id, Spans: len(e.spans), Slow: e.slow, Dropped: e.dropped}
+	var minStart, maxEnd int64
+	for _, sp := range e.spans {
+		if minStart == 0 || sp.Start < minStart {
+			minStart = sp.Start
+			sum.Root = sp.Op
+		}
+		if sp.End > maxEnd {
+			maxEnd = sp.End
+		}
+		// Prefer a true root's op name when one is present.
+		if sp.ParentID == "" && sum.Root != sp.Op && sp.Start == minStart {
+			sum.Root = sp.Op
+		}
+	}
+	sum.Start = minStart
+	if maxEnd > minStart {
+		sum.Duration = maxEnd - minStart
+	}
+	return sum
 }
 
 // SortSpans orders spans by start time, then span ID for stability.

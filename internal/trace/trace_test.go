@@ -273,3 +273,33 @@ func TestStoreBoundedUnderChurn(t *testing.T) {
 		t.Fatalf("store grew to %d traces, capacity 64", st.Len())
 	}
 }
+
+// TestStoreAddAtCapacityAllocs admits fresh traces into a full store,
+// every other one slow. Retention must cost O(1) per Add: the new
+// trace's entry and span list, nothing proportional to the capacity.
+func TestStoreAddAtCapacityAllocs(t *testing.T) {
+	const capacity = 512
+	st := NewStore(capacity, time.Millisecond, 1)
+	spans := make([]Span, 4*capacity)
+	for i := range spans {
+		end := int64(10)
+		if i%2 == 1 {
+			end = int64(2 * time.Millisecond)
+		}
+		spans[i] = span(fmt.Sprintf("t%d", i), "s", "", "op", 0, end)
+	}
+	next := 0
+	add := func() {
+		st.Add(spans[next%len(spans)])
+		next++
+	}
+	for next < 2*capacity {
+		add()
+	}
+	if allocs := testing.AllocsPerRun(2*capacity, add); allocs > 2 {
+		t.Fatalf("Add at capacity allocates %.1f times, want <= 2", allocs)
+	}
+	if st.Len() != capacity {
+		t.Fatalf("store holds %d traces, want %d", st.Len(), capacity)
+	}
+}

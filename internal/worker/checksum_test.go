@@ -256,3 +256,41 @@ func TestReplicateFromCorruptSourceStoresNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestLocalCopyChecksStoredSums: a copy between two media of the same
+// worker reads the source directly, not through a packet stream, so it
+// must check the stored sums itself. A corrupt HDD replica promoted to
+// memory would otherwise be re-stored under fresh sums.
+func TestLocalCopyChecksStoredSums(t *testing.T) {
+	_, w, dir := testWorkerDir(t)
+	payload := seededBytes(chunkBlockSize, 5)
+	local := core.BlockLocation{Worker: w.ID(), Address: w.DataAddr(), Storage: "wtest:hdd0"}
+
+	clean := core.Block{ID: 60, GenStamp: 1, NumBytes: chunkBlockSize}
+	putBlock(t, w, clean, "wtest:hdd0", payload)
+	if ackErr := replicateOverDataPort(t, w, clean, "wtest:mem0", local); ackErr != "" {
+		t.Fatalf("clean local copy: %s", ackErr)
+	}
+	if got, openErr, err := readRange(w, clean, "wtest:mem0", 0, chunkBlockSize); openErr != nil || err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("clean local copy reads back wrong: open %v, read %v", openErr, err)
+	}
+
+	blk := core.Block{ID: 61, GenStamp: 1, NumBytes: chunkBlockSize}
+	putBlock(t, w, blk, "wtest:hdd0", payload)
+	flipByte(t, w, dir, "wtest:hdd0", blk, storage.ChunkSize+9)
+	usedBefore := w.Media()["wtest:mem0"].Used()
+	ackErr := replicateOverDataPort(t, w, blk, "wtest:mem0", local)
+	if !errors.Is(rpc.DecodeError(ackErr), core.ErrCorrupt) {
+		t.Errorf("replicate ack = %q, want ErrCorrupt", ackErr)
+	}
+	if w.Media()["wtest:mem0"].Has(blk) {
+		t.Error("memory media holds a copy of the corrupt HDD replica")
+	}
+	if got := w.Media()["wtest:mem0"].Used(); got != usedBefore {
+		t.Errorf("memory Used = %d, want %d", got, usedBefore)
+	}
+	evs := w.journal.Since(0, "block_corrupt", 0).Events
+	if len(evs) != 1 || evs[0].Attrs["block"] != "61" || evs[0].Attrs["storage"] != "wtest:hdd0" {
+		t.Errorf("block_corrupt events = %+v, want one for block 61 on wtest:hdd0", evs)
+	}
+}

@@ -3,6 +3,7 @@ package worker
 import (
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net"
 	"time"
@@ -120,16 +121,6 @@ func (w *Worker) handleConn(conn net.Conn) {
 // retire client-side first and the stale-conn race window is narrow.
 const dataIdleTimeout = 2 * time.Minute
 
-// respFrame returns the frame writer matching the requester's format:
-// a legacy gob request gets gob responses, so old and new daemons
-// interoperate in either direction.
-func respFrame(legacy bool) func(io.Writer, any) error {
-	if legacy {
-		return rpc.WriteFrameLegacy
-	}
-	return rpc.WriteFrame
-}
-
 // endHandshake lifts the accept-side handshake deadline armed in
 // handleConn, once the header frame has been decoded.
 func endHandshake(conn net.Conn) {
@@ -158,8 +149,7 @@ func (t *timedWriter) Write(p []byte) (int, error) {
 func (w *Worker) handleWriteBlock(conn net.Conn) (keep bool) {
 	start := time.Now()
 	var hdr rpc.WriteBlockHeader
-	legacy, err := rpc.ReadFrameEx(conn, &hdr)
-	if err != nil {
+	if err := rpc.ReadFrame(conn, &hdr); err != nil {
 		w.cfg.Logger.Warn("bad write header", "err", err)
 		return false
 	}
@@ -200,7 +190,7 @@ func (w *Worker) handleWriteBlock(conn net.Conn) (keep bool) {
 	}
 	w.metrics.observeOp("write", hdr.ReqID, start, ack.Stored, tier, ack.Err != "")
 	w.metrics.observeDisk(tier, "write", rec.DiskNs)
-	ackErr := respFrame(legacy)(conn, ack)
+	ackErr := rpc.WriteFrame(conn, ack)
 	if ackErr != nil {
 		w.cfg.Logger.Warn("write ack failed", "err", ackErr)
 	}
@@ -372,8 +362,7 @@ func (w *Worker) writeBlockPipeline(conn net.Conn, hdr rpc.WriteBlockHeader, sp 
 func (w *Worker) handleReadBlock(conn net.Conn) (keep bool) {
 	start := time.Now()
 	var hdr rpc.ReadBlockHeader
-	legacy, err := rpc.ReadFrameEx(conn, &hdr)
-	if err != nil {
+	if err := rpc.ReadFrame(conn, &hdr); err != nil {
 		w.cfg.Logger.Warn("bad read header", "err", err)
 		return false
 	}
@@ -389,7 +378,7 @@ func (w *Worker) handleReadBlock(conn net.Conn) (keep bool) {
 		Peer:           conn.RemoteAddr().String(),
 		HeaderDecodeNs: time.Since(start).Nanoseconds(),
 	}
-	served, tier, keep, err := w.readBlock(conn, hdr, legacy, &rec)
+	served, tier, keep, err := w.readBlock(conn, hdr, &rec)
 	sp.Annotate("tier", tier).AnnotateInt("bytes", served)
 	rec.Tier = tier
 	rec.Bytes = served
@@ -423,13 +412,12 @@ const _ = uint(storage.ChunkSize-rpc.MaxPacketSize) + uint(rpc.MaxPacketSize-sto
 // from a timed writer around the response frame and packet stream.
 // keep reports whether the response (refusal or full stream) was
 // delivered cleanly.
-func (w *Worker) readBlock(conn net.Conn, hdr rpc.ReadBlockHeader, legacy bool, rec *xfer.Record) (served int64, tier string, keep bool, err error) {
-	writeResp := respFrame(legacy)
+func (w *Worker) readBlock(conn net.Conn, hdr rpc.ReadBlockHeader, rec *xfer.Record) (served int64, tier string, keep bool, err error) {
 	tier = "UNKNOWN"
 	refuse := func(e error) (int64, string, bool, error) {
 		// A delivered refusal leaves the conn clean: the requester got
 		// its answer and nothing is mid-stream.
-		werr := writeResp(conn, rpc.ReadBlockResponse{Err: rpc.WithReqID(rpc.EncodeError(e), hdr.ReqID)})
+		werr := rpc.WriteFrame(conn, rpc.ReadBlockResponse{Err: rpc.WithReqID(rpc.EncodeError(e), hdr.ReqID)})
 		return 0, tier, werr == nil, e
 	}
 	media, ok := w.media[hdr.Storage]
@@ -444,7 +432,7 @@ func (w *Worker) readBlock(conn net.Conn, hdr rpc.ReadBlockHeader, legacy bool, 
 	var iost storage.IOStats
 	cr, err := media.OpenChunks(hdr.Block, hdr.Offset, length, &iost)
 	if err != nil {
-		w.noteCorrupt(hdr, err)
+		w.noteCorrupt(hdr.ReqID, hdr.Block.ID, hdr.Storage, err)
 		return refuse(err)
 	}
 	defer func() {
@@ -456,11 +444,11 @@ func (w *Worker) readBlock(conn net.Conn, hdr rpc.ReadBlockHeader, legacy bool, 
 	// inside a corrupt chunk is refused rather than cut off.
 	p, sum, err := cr.Next()
 	if err != nil && err != io.EOF {
-		w.noteCorrupt(hdr, err)
+		w.noteCorrupt(hdr.ReqID, hdr.Block.ID, hdr.Storage, err)
 		return refuse(err)
 	}
 	tw := &timedWriter{w: conn, ns: &rec.NetNs}
-	if err := writeResp(tw, rpc.ReadBlockResponse{Length: length}); err != nil {
+	if err := rpc.WriteFrame(tw, rpc.ReadBlockResponse{Length: length}); err != nil {
 		return 0, tier, false, err
 	}
 	pw := rpc.NewPacketWriter(tw)
@@ -478,7 +466,7 @@ func (w *Worker) readBlock(conn net.Conn, hdr rpc.ReadBlockHeader, legacy bool, 
 	}
 	if err != nil {
 		// The connection dies mid-stream; the client fails over.
-		w.noteCorrupt(hdr, err)
+		w.noteCorrupt(hdr.ReqID, hdr.Block.ID, hdr.Storage, err)
 		w.cfg.Logger.Warn("block read stream failed", "block", hdr.Block.ID, "req", hdr.ReqID, "err", err)
 		return served, tier, false, err
 	}
@@ -487,14 +475,42 @@ func (w *Worker) readBlock(conn net.Conn, hdr rpc.ReadBlockHeader, legacy bool, 
 
 // noteCorrupt publishes a block_corrupt event when a read found a
 // replica failing its stored checksums.
-func (w *Worker) noteCorrupt(hdr rpc.ReadBlockHeader, err error) {
+func (w *Worker) noteCorrupt(reqID string, block core.BlockID, st core.StorageID, err error) {
 	if !errors.Is(err, core.ErrCorrupt) {
 		return
 	}
-	w.journal.PublishTraced(events.Error, "block_corrupt", hdr.ReqID,
+	w.journal.PublishTraced(events.Error, "block_corrupt", reqID,
 		"replica failed its stored checksum; read refused",
-		"block", fmt.Sprintf("%d", hdr.Block.ID),
-		"storage", string(hdr.Storage))
+		"block", fmt.Sprintf("%d", block),
+		"storage", string(st))
+}
+
+// castagnoli is the CRC-32C table of the stored chunk sums.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// verifiedChunks streams a replica range from a ChunkReader, checking
+// each piece against the sum it is served under; a mismatch is
+// core.ErrCorrupt.
+type verifiedChunks struct {
+	cr    *storage.ChunkReader
+	block core.BlockID
+	piece []byte
+}
+
+func (v *verifiedChunks) Read(p []byte) (int, error) {
+	for len(v.piece) == 0 {
+		piece, sum, err := v.cr.Next()
+		if err != nil {
+			return 0, err
+		}
+		if crc32.Checksum(piece, castagnoli) != sum {
+			return 0, fmt.Errorf("worker: block %s: chunk fails its stored checksum: %w", v.block, core.ErrCorrupt)
+		}
+		v.piece = piece
+	}
+	n := copy(p, v.piece)
+	v.piece = v.piece[n:]
+	return n, nil
 }
 
 // handleReplicateBlock lets a peer push a replication order directly
@@ -503,8 +519,7 @@ func (w *Worker) noteCorrupt(hdr rpc.ReadBlockHeader, err error) {
 func (w *Worker) handleReplicateBlock(conn net.Conn) (keep bool) {
 	start := time.Now()
 	var hdr rpc.ReplicateBlockHeader
-	legacy, err := rpc.ReadFrameEx(conn, &hdr)
-	if err != nil {
+	if err := rpc.ReadFrame(conn, &hdr); err != nil {
 		return false
 	}
 	endHandshake(conn)
@@ -538,7 +553,7 @@ func (w *Worker) handleReplicateBlock(conn net.Conn) (keep bool) {
 	}
 	w.metrics.observeOp("replicate", reqID, start, n, tier, err != nil)
 	w.metrics.observeDisk(tier, "replicate", rec.DiskNs)
-	ackErr := respFrame(legacy)(conn, rpc.ReplicateBlockAck{Err: rpc.WithReqID(rpc.EncodeError(err), reqID)})
+	ackErr := rpc.WriteFrame(conn, rpc.ReplicateBlockAck{Err: rpc.WithReqID(rpc.EncodeError(err), reqID)})
 	rec.TotalNs = time.Since(start).Nanoseconds()
 	w.xfers.Append(rec)
 	return ackErr == nil
@@ -548,12 +563,11 @@ func (w *Worker) handleReplicateBlock(conn net.Conn) (keep bool) {
 // the master's assembly fan-out.
 func (w *Worker) handleTraceDump(conn net.Conn) (keep bool) {
 	var hdr rpc.TraceDumpHeader
-	legacy, err := rpc.ReadFrameEx(conn, &hdr)
-	if err != nil {
+	if err := rpc.ReadFrame(conn, &hdr); err != nil {
 		return false
 	}
 	endHandshake(conn)
-	if err := respFrame(legacy)(conn, rpc.TraceDumpResponse{Spans: w.traces.Get(hdr.TraceID)}); err != nil {
+	if err := rpc.WriteFrame(conn, rpc.TraceDumpResponse{Spans: w.traces.Get(hdr.TraceID)}); err != nil {
 		w.cfg.Logger.Warn("trace dump failed", "trace", hdr.TraceID, "err", err)
 		return false
 	}
@@ -569,8 +583,7 @@ const transferDumpMaxPage = 512
 // recorder to Master.GetTransfers' fan-out.
 func (w *Worker) handleTransferDump(conn net.Conn) (keep bool) {
 	var hdr rpc.TransferDumpHeader
-	legacy, err := rpc.ReadFrameEx(conn, &hdr)
-	if err != nil {
+	if err := rpc.ReadFrame(conn, &hdr); err != nil {
 		return false
 	}
 	endHandshake(conn)
@@ -579,10 +592,7 @@ func (w *Worker) handleTransferDump(conn net.Conn) (keep bool) {
 		limit = transferDumpMaxPage
 	}
 	resp := rpc.TransferDumpResponse{Page: w.xfers.Since(hdr.Since, hdr.Op, limit), Counts: w.xfers.Counts()}
-	if resp.Page.Entries == nil {
-		resp.Page.Entries = []xfer.Record{}
-	}
-	if err := respFrame(legacy)(conn, resp); err != nil {
+	if err := rpc.WriteFrame(conn, resp); err != nil {
 		w.cfg.Logger.Warn("transfer dump failed", "err", err)
 		return false
 	}
@@ -609,19 +619,23 @@ func (w *Worker) replicate(reqID string, sp *trace.ActiveSpan, block core.Block,
 	var lastErr error
 	for _, src := range sources {
 		if src.Worker == w.id && src.Storage != target {
-			// Local cross-media copy: read directly. Both the source
-			// read (Put's source wait) and the store write are device
-			// time here.
+			// Local cross-media copy: read directly, checking every
+			// chunk against its stored sum — no packet reader
+			// downstream checks it, and Put stores fresh sums. Both
+			// the source read (Put's source wait) and the store write
+			// are device time here.
 			if local, ok := w.media[src.Storage]; ok {
-				rc, err := local.Open(block)
+				cr, err := local.OpenChunks(block, 0, block.NumBytes, nil)
 				if err != nil {
+					w.noteCorrupt(reqID, block.ID, src.Storage, err)
 					lastErr = err
 					continue
 				}
 				var iost storage.IOStats
-				n, err := media.PutStats(block, rc, &iost)
-				rc.Close()
+				n, err := media.PutStats(block, &verifiedChunks{cr: cr, block: block.ID}, &iost)
+				cr.Close()
 				if err != nil {
+					w.noteCorrupt(reqID, block.ID, src.Storage, err)
 					lastErr = err
 					continue
 				}
